@@ -23,7 +23,7 @@ sweeps any slice of the engine × dataset × pipeline matrix and returns a
 """
 
 from .config import ExperimentConfig
-from .core import BentoRunner, MatrixRunner, Pipeline, PipelineStep, Stage
+from .core import MatrixRunner, Pipeline, PipelineStep, Stage
 from .engines import SimulationContext, create_engine, create_engines
 from .frame import Column, DataFrame, col, lit
 from .plan import LazyFrame
@@ -49,7 +49,6 @@ __all__ = [
     "Measurement",
     "ResultSet",
     "MatrixRunner",
-    "BentoRunner",
     "Cell",
     "RetryPolicy",
     "SweepCache",

@@ -10,7 +10,7 @@ from .expr_spec import parse_expression
 from .metrics import format_speedup, geometric_mean_speedup, impact_percentages, speedup
 from .pipeline import Pipeline, PipelineStep
 from .preparators import PREPARATOR_NAMES, PREPARATORS, Preparator, PreparatorResult, get_preparator
-from .runner import BentoRunner, MatrixRunner, PipelineTiming, PreparatorTiming, StageTiming
+from .runner import MatrixRunner
 from .stages import Stage
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
     "PipelineStep",
     "parse_expression",
     "MatrixRunner",
-    "BentoRunner",
-    "PreparatorTiming",
-    "StageTiming",
-    "PipelineTiming",
     "speedup",
     "impact_percentages",
     "geometric_mean_speedup",

@@ -16,30 +16,24 @@ as OOM outcomes (the ✕ entries of Table 5 and the OOM markers of Figure 6).
 :class:`MatrixRunner` is the canonical implementation: every mode emits
 unified :class:`~repro.results.Measurement` records, which the
 :class:`~repro.session.Session` facade collects into
-:class:`~repro.results.ResultSet` objects.  :class:`BentoRunner` and the three
-mode-specific timing dataclasses are retained as thin deprecation shims that
-convert those records back to the historical shapes.
+:class:`~repro.results.ResultSet` objects.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..frame.frame import DataFrame
 from ..results import Measurement
 from ..simulate.clock import RunReport, trimmed_mean
 from ..simulate.memory import SimulatedOOMError
 from .pipeline import Pipeline, PipelineStep
-from .preparators import get_preparator
 from .stages import Stage
 
 if TYPE_CHECKING:  # imported only for type checking to avoid a circular import
     from ..engines.base import BaseEngine, SimulationContext
 
-__all__ = ["MatrixRunner", "BentoRunner",
-           "PreparatorTiming", "StageTiming", "PipelineTiming"]
+__all__ = ["MatrixRunner"]
 
 
 class MatrixRunner:
@@ -290,161 +284,3 @@ class MatrixRunner:
             measurement.failed = True
             measurement.failure_reason = str(oom)
         return measurement
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated shims: the historical per-mode result shapes.
-# --------------------------------------------------------------------------- #
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new} instead",
-                  DeprecationWarning, stacklevel=3)
-
-
-@dataclass
-class PreparatorTiming:
-    """Function-core result (deprecated; superseded by ``Measurement``)."""
-
-    engine: str
-    dataset: str
-    pipeline: str
-    seconds_by_call: list[tuple[str, float]] = field(default_factory=list)
-    failed: bool = False
-    failure_reason: str = ""
-
-    def seconds_by_preparator(self) -> dict[str, float]:
-        """Average seconds per preparator (averaging over its calls)."""
-        sums: dict[str, list[float]] = {}
-        for name, seconds in self.seconds_by_call:
-            sums.setdefault(name, []).append(seconds)
-        return {name: sum(values) / len(values) for name, values in sums.items()}
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(seconds for _, seconds in self.seconds_by_call)
-
-    @classmethod
-    def from_measurements(cls, measurements: Iterable[Measurement]) -> "PreparatorTiming":
-        records = list(measurements)
-        if not records:
-            raise ValueError("no measurements to convert")
-        first = records[0]
-        timing = cls(first.engine, first.dataset, first.pipeline)
-        for record in records:
-            if record.failed:
-                timing.failed = True
-                timing.failure_reason = record.failure_reason
-                return timing
-        for record in sorted(records, key=lambda m: m.step_index):
-            timing.seconds_by_call.append((record.step, record.seconds))
-        return timing
-
-    def to_measurements(self) -> list[Measurement]:
-        if self.failed:
-            return [Measurement(engine=self.engine, dataset=self.dataset,
-                                pipeline=self.pipeline, mode="core", failed=True,
-                                failure_reason=self.failure_reason)]
-        return [Measurement(engine=self.engine, dataset=self.dataset,
-                            pipeline=self.pipeline, mode="core",
-                            stage=get_preparator(name).stage.value, step=name,
-                            step_index=position, seconds=seconds)
-                for position, (name, seconds) in enumerate(self.seconds_by_call)]
-
-
-@dataclass
-class StageTiming:
-    """Pipeline-stage result (deprecated; superseded by ``Measurement``)."""
-
-    engine: str
-    dataset: str
-    pipeline: str
-    stage: str
-    seconds: float
-    lazy: bool = False
-    failed: bool = False
-    failure_reason: str = ""
-
-    @classmethod
-    def from_measurement(cls, m: Measurement) -> "StageTiming":
-        return cls(m.engine, m.dataset, m.pipeline, m.stage, m.seconds,
-                   lazy=m.lazy, failed=m.failed, failure_reason=m.failure_reason)
-
-    def to_measurement(self) -> Measurement:
-        return Measurement(engine=self.engine, dataset=self.dataset,
-                           pipeline=self.pipeline, mode="stage", stage=self.stage,
-                           seconds=self.seconds, lazy=self.lazy, failed=self.failed,
-                           failure_reason=self.failure_reason)
-
-
-@dataclass
-class PipelineTiming:
-    """Pipeline-full result (deprecated; superseded by ``Measurement``)."""
-
-    engine: str
-    dataset: str
-    pipeline: str
-    seconds: float
-    lazy: bool = False
-    peak_bytes: int = 0
-    failed: bool = False
-    failure_reason: str = ""
-
-    @classmethod
-    def from_measurement(cls, m: Measurement) -> "PipelineTiming":
-        return cls(m.engine, m.dataset, m.pipeline, m.seconds, lazy=m.lazy,
-                   peak_bytes=m.peak_bytes, failed=m.failed,
-                   failure_reason=m.failure_reason)
-
-    def to_measurement(self) -> Measurement:
-        return Measurement(engine=self.engine, dataset=self.dataset,
-                           pipeline=self.pipeline, mode="full", seconds=self.seconds,
-                           peak_bytes=self.peak_bytes, lazy=self.lazy,
-                           failed=self.failed, failure_reason=self.failure_reason)
-
-
-class BentoRunner(MatrixRunner):
-    """Deprecated facade returning the historical per-mode dataclasses.
-
-    Existing call sites keep working; new code should go through
-    :class:`repro.Session` (or :class:`MatrixRunner` directly), which produce
-    unified :class:`~repro.results.Measurement` records.
-    """
-
-    def run_function_core(self, engine: BaseEngine, frame: DataFrame, pipeline: Pipeline,
-                          sim: SimulationContext) -> PreparatorTiming:
-        """Execute and price every preparator call in isolation."""
-        _warn_deprecated("BentoRunner.run_function_core", "Session.run(mode='core')")
-        measurements = self.measure_function_core(engine, frame, pipeline, sim)
-        if not measurements:  # a pipeline with no steps
-            return PreparatorTiming(engine.name, sim.dataset_name, pipeline.name)
-        return PreparatorTiming.from_measurements(measurements)
-
-    def run_stage(self, engine: BaseEngine, frame: DataFrame, pipeline: Pipeline,
-                  stage: "Stage | str", sim: SimulationContext,
-                  lazy: bool | None = None) -> StageTiming:
-        """Execute one stage of the pipeline as a unit."""
-        _warn_deprecated("BentoRunner.run_stage", "Session.run(mode='stage')")
-        return StageTiming.from_measurement(
-            self.measure_stage(engine, frame, pipeline, stage, sim, lazy))
-
-    def run_all_stages(self, engine: BaseEngine, frame: DataFrame, pipeline: Pipeline,
-                       sim: SimulationContext, lazy: bool | None = None) -> dict[str, StageTiming]:
-        """Stage timings for every stage present in the pipeline."""
-        _warn_deprecated("BentoRunner.run_all_stages", "Session.run(mode='stage')")
-        return {m.stage: StageTiming.from_measurement(m)
-                for m in self.measure_stages(engine, frame, pipeline, sim, lazy)}
-
-    def run_full(self, engine: BaseEngine, frame: DataFrame, pipeline: Pipeline,
-                 sim: SimulationContext, lazy: bool | None = None) -> PipelineTiming:
-        """Execute the entire pipeline end to end."""
-        _warn_deprecated("BentoRunner.run_full", "Session.run(mode='full')")
-        return PipelineTiming.from_measurement(
-            self.measure_full(engine, frame, pipeline, sim, lazy))
-
-    def run_full_matrix(self, engines: Mapping[str, BaseEngine], frame: DataFrame,
-                        pipeline: Pipeline, sim: SimulationContext,
-                        lazy: bool | None = None) -> dict[str, PipelineTiming]:
-        """Pipeline-full timings for a dict of engines."""
-        _warn_deprecated("BentoRunner.run_full_matrix", "Session.run(mode='full')")
-        return {name: PipelineTiming.from_measurement(
-                    self.measure_full(engine, frame, pipeline, sim, lazy))
-                for name, engine in engines.items()}

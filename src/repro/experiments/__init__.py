@@ -21,6 +21,6 @@ session as ``setup=`` to share generated datasets and engines across drivers.
 """
 
 from .context import ExperimentConfig
-from .common import ExperimentSetup, prepare
+from .common import prepare
 
-__all__ = ["ExperimentConfig", "ExperimentSetup", "prepare"]
+__all__ = ["ExperimentConfig", "prepare"]

@@ -1,20 +1,11 @@
-"""Shared plumbing for the figure drivers, now backed by the Session facade.
-
-The historical :class:`ExperimentSetup` (datasets, pipelines, engines and
-runner wired by hand) has been replaced by :class:`repro.Session`, which
-exposes a superset of its attributes; the name is kept as an alias so existing
-call sites keep working.
-"""
+"""Shared plumbing for the figure drivers, backed by the Session facade."""
 
 from __future__ import annotations
 
 from ..config import ExperimentConfig
 from ..session import Session
 
-__all__ = ["ExperimentSetup", "prepare"]
-
-#: Deprecated alias: the Session facade supersedes the hand-wired setup.
-ExperimentSetup = Session
+__all__ = ["prepare"]
 
 
 def prepare(config: ExperimentConfig | None = None) -> Session:

@@ -21,12 +21,11 @@ Every measurement is emitted as a unified
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import ExperimentConfig
 from .core.pipeline import Pipeline
-from .core.runner import BentoRunner, MatrixRunner
+from .core.runner import MatrixRunner
 from .core.stages import Stage
 from .datasets.base import GeneratedDataset
 from .datasets.pipelines import get_pipelines
@@ -90,7 +89,6 @@ class Session:
         self._engines: dict[str, BaseEngine] | None = None
         self._extra_engines: dict[str, BaseEngine] = {}
         self._runner: MatrixRunner | None = None
-        self._legacy_runner: BentoRunner | None = None
         self._tpch_data: dict[float, object] = {}
         #: Serializes lazy construction, so concurrent jobs can share a session.
         self._lock = threading.RLock()
@@ -146,16 +144,6 @@ class Session:
             if self._runner is None:
                 self._runner = MatrixRunner(runs=self.config.runs)
             return self._runner
-
-    @property
-    def runner(self) -> BentoRunner:
-        """Deprecated: the legacy shim runner.  Use :attr:`matrix_runner`."""
-        warnings.warn("Session.runner is deprecated; use Session.matrix_runner "
-                      "(which emits unified Measurement records)",
-                      DeprecationWarning, stacklevel=2)
-        if self._legacy_runner is None:
-            self._legacy_runner = BentoRunner(runs=self.config.runs)
-        return self._legacy_runner
 
     # ------------------------------------------------------------------ #
     # per-dataset helpers
@@ -407,8 +395,8 @@ class Session:
 
     @staticmethod
     def _cell_thunk(cell, runner, engine, generated, sim, pipeline):
-        """Thread-pool thunk: :func:`~repro.sweep.execute_cell` over the
-        session's shared components (the process pool rebuilds them instead).
+        """Sequential-path thunk: :func:`~repro.sweep.execute_cell` over the
+        session's shared components (batched workers use their own).
         The frame is pre-converted to the cell's backend here, so every cell
         of a sweep shares one converted copy (``execute_cell``'s own
         conversion then no-ops).  ``attempt`` is threaded through for the
@@ -485,8 +473,9 @@ class Session:
         retries per cell) retries failed cells with deterministic backoff,
         quarantines poison cells into error-status measurements instead of
         aborting, and — on the process executor — respawns crashed workers
-        and re-dispatches their uncommitted cells.  ``None`` (default) keeps
-        fail-fast semantics.
+        and re-dispatches their uncommitted cells.  ``None`` (default) gives
+        every cell one attempt and fails fast: the first error stops the
+        sweep and is raised once the finished cells are cached.
 
         ``hosts`` distributes the sweep across worker-host processes via the
         :mod:`repro.sweep.distributed` coordinator: an int spawns that many
@@ -556,7 +545,7 @@ class Session:
         from pathlib import Path
 
         from .sweep.distributed import RunSpec, SweepCoordinator
-        from .sweep.resilience import RetryPolicy
+        from .sweep.resilience import resolve_retry
         from .testing.faults import active_fault_plan
 
         if self._injected_datasets is not None:
@@ -577,8 +566,7 @@ class Session:
                          pipelines=pipelines, lazy=lazy, streaming=streaming,
                          stages=stages, formats=formats, backend=backend)
         resolved_cache = resolve_cache(cache)
-        if isinstance(retry, int) and not isinstance(retry, bool):
-            retry = RetryPolicy.from_retries(retry) if retry > 0 else None
+        retry = resolve_retry(retry)
         stage_names = ([Stage.parse(s).value for s in stages]
                        if stages is not None else None)
         spec = RunSpec(

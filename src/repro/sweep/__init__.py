@@ -41,7 +41,6 @@ from .scheduler import (
     SweepScheduler,
     SweepStats,
     execute_cell,
-    execute_payload,
     resolve_cache,
 )
 from .workers import (
@@ -84,7 +83,6 @@ __all__ = [
     "pipeline_fingerprint",
     "default_cache_dir",
     "execute_cell",
-    "execute_payload",
     "quarantine_measurement",
     "resolve_cache",
 ]

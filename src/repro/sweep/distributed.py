@@ -35,8 +35,9 @@ Design decisions, in the order they matter:
   *inside* the owning host by its local ``RetryPolicy`` machinery; a lost
   connection or crashed host charges one attempt against each cell it had
   started (:class:`HostLostError` is a :class:`WorkerCrashError`) and
-  re-grants survivors' work, quarantining a cell only when its wire-carried
-  attempt budget is exhausted.  ``retry=None`` keeps fail-fast semantics.
+  re-grants survivors' work.  A cell whose wire-carried attempt budget is
+  exhausted is quarantined, or — with ``retry=None``, a one-attempt budget —
+  aborts the sweep with :class:`HostLostError`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ from ..testing.faults import (ConnectionDropFault, FaultPlan,
                               install_fault_plan)
 from .cache import SweepCache
 from .cells import Cell
-from .resilience import RetryPolicy, WorkerCrashError, quarantine_measurement
+from .resilience import (RetryPolicy, WorkerCrashError, quarantine_measurement,
+                         resolve_retry)
 from .scheduler import PlannedCell, SweepScheduler, SweepStats
 from .workers import DEFAULT_SECONDS_HINT, hint_memory
 
@@ -364,9 +366,10 @@ class SweepCoordinator:
         self.spec = spec
         self.expected_hosts = hosts
         self.cache = cache
-        if isinstance(retry, int) and not isinstance(retry, bool):
-            retry = RetryPolicy.from_retries(retry) if retry > 0 else None
-        self.retry: "RetryPolicy | None" = retry
+        #: The caller's policy; ``None`` means fail-fast.
+        self.retry: "RetryPolicy | None" = resolve_retry(retry)
+        #: The policy host loss is charged against (fail-fast: one attempt).
+        self._policy = self.retry or RetryPolicy(max_attempts=1)
         self.on_result = on_result
         self.profile = profile
         self.bind = bind
@@ -698,20 +701,27 @@ class SweepCoordinator:
                 self._started.discard(index)
                 self._attempts[index] = max(self._attempts.get(index, 0),
                                             attempt)
-                if self.retry is None:
-                    self._abort = True
-                    errors.append(HostLostError(
-                        f"host {host.name} lost mid-cell ({reason})"))
-                    continue
-                if self._attempts[index] >= self.retry.max_attempts:
-                    self._quarantine_locked(index, HostLostError(reason))
+                if self._attempts[index] >= self._policy.max_attempts:
+                    self._out_of_attempts_locked(index, HostLostError(
+                        f"host {host.name} lost mid-cell ({reason})"), errors)
                     continue
                 self.stats.retries += 1
                 self.stats.reassigned += 1
                 self._orphans.append(index)
             host.granted_attempt.clear()
 
-    def _quarantine_locked(self, index: int, error: BaseException) -> None:
+    def _out_of_attempts_locked(self, index: int, error: BaseException,
+                                errors: "list[BaseException]") -> None:
+        """Resolve a cell whose attempt budget a lost host used up.
+
+        The one place fail-fast and resilient sweeps differ: without a retry
+        policy the sweep aborts and :meth:`run` raises the first error;
+        with one the cell degrades to a quarantine record.
+        """
+        if self.retry is None:
+            self._abort = True
+            errors.append(error)
+            return
         cell = self.plan[index].cell
         measurement = quarantine_measurement(cell, error,
                                              self._attempts.get(index, 0))

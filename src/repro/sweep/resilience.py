@@ -2,9 +2,9 @@
 
 A sweep over dozens of engine × dataset cells should not lose an hour of
 work to one flaky engine exception, one hung cell or one killed worker.
-This module defines the policy layer the scheduler applies when one is
-configured (``retry=`` on :class:`~repro.sweep.scheduler.SweepScheduler` or
-``--retries``/``--cell-timeout`` on the CLI):
+This module defines the policy layer every sweep runs under (``retry=`` on
+:class:`~repro.sweep.scheduler.SweepScheduler` or ``--retries``/
+``--cell-timeout`` on the CLI):
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministic* jitter (seeded by cell id + attempt, so two runs of the
@@ -17,12 +17,14 @@ configured (``retry=`` on :class:`~repro.sweep.scheduler.SweepScheduler` or
   rerun retries them);
 * :func:`execute_with_retry` — the sequential-path driver applying a policy
   around a cell thunk;
+* :func:`resolve_retry` — the one normalisation of a user-facing ``retry=``;
 * :class:`WorkerCrashError` / :class:`CellTimeoutError` — what a crashed
   worker or an expired cell timeout charges against the victim cell's
   attempt budget.
 
-Without a policy the scheduler keeps its historical fail-fast semantics:
-the first error aborts the sweep and worker death raises.
+Without a policy (``retry=None``) a sweep runs every cell under a
+one-attempt policy and fails fast: a cell that runs out of attempts aborts
+the sweep instead of being quarantined.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..results import Measurement
 from .cells import Cell
 
 __all__ = ["RetryPolicy", "WorkerCrashError", "CellTimeoutError",
-           "quarantine_measurement", "execute_with_retry"]
+           "quarantine_measurement", "execute_with_retry", "resolve_retry"]
 
 
 class WorkerCrashError(RuntimeError):
@@ -93,6 +95,17 @@ class RetryPolicy:
         digest = hashlib.sha256(f"{cell_id}:{attempt}".encode()).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2 ** 64  # [0, 1)
         return raw * (1.0 - self.jitter * fraction)
+
+
+def resolve_retry(retry: "RetryPolicy | int | None") -> "RetryPolicy | None":
+    """Normalise a user-facing ``retry=`` argument.
+
+    An int is that many retries after the first attempt, so ``0`` (like
+    ``None``) asks for fail-fast and returns ``None``; a policy is used as-is.
+    """
+    if isinstance(retry, int) and not isinstance(retry, bool):
+        return RetryPolicy.from_retries(retry) if retry > 0 else None
+    return retry
 
 
 def quarantine_measurement(cell: Cell, error: "BaseException | str",

@@ -2,38 +2,39 @@
 
 The scheduler takes an ordered plan of :class:`PlannedCell` work units (built
 by :meth:`repro.session.Session.plan`), serves already-completed cells from
-the :class:`~repro.sweep.cache.SweepCache`, dispatches the rest across a
-``concurrent.futures`` worker pool, and reassembles the collected
-:class:`~repro.results.Measurement` records **in plan order** — so the
-returned :class:`~repro.results.ResultSet` is bit-identical to a sequential
-run regardless of completion order, worker count or cache state.
+the :class:`~repro.sweep.cache.SweepCache`, runs the rest, and reassembles the
+collected :class:`~repro.results.Measurement` records **in plan order** — so
+the returned :class:`~repro.results.ResultSet` is bit-identical to a
+sequential run regardless of completion order, worker count or cache state.
 
-Two pool flavours are supported, and both normally run through the batched
-execution tier of :mod:`repro.sweep.workers` — cells are grouped by
-``(dataset, scale, engine)``, ordered longest-first from recorded wall-clock
-hints, and dispatched with dataset affinity to **persistent** workers that
-keep engines, frames and a substrate memo warm across the whole sweep:
+A cell runs one of two ways:
 
-* ``executor="thread"`` (default) — workers share the session's live frames
-  (zero serialization) and one shared memo;
-* ``executor="process"`` — long-lived worker processes attach zero-copy to
-  shared-memory frame segments the dispatcher exports once per distinct
-  frame (see :mod:`repro.frame.sharing`); only small manifests and
-  measurement events cross process boundaries.
+* **sequentially** (one worker, or a single pending cell) — each cell's
+  in-process thunk runs in plan order; this is the reference path every
+  other strategy is checked against;
+* **through the batched tier** of :mod:`repro.sweep.workers` — cells are
+  grouped by ``(dataset, scale, engine)``, ordered longest-first from
+  recorded wall-clock hints, and dispatched with dataset affinity to
+  **persistent** workers that keep engines, frames and a substrate memo warm
+  across the whole sweep.  ``executor="thread"`` (default) workers share the
+  session's live frames and one memo; ``executor="process"`` workers attach
+  zero-copy to shared-memory frame segments the dispatcher exports once per
+  distinct frame (see :mod:`repro.frame.sharing`).
 
-``batched=False`` falls back to the historical per-cell futures pool.
-Completed cells are written to the cache *as they finish* in every flavour,
-which is what makes interrupted sweeps resumable: rerunning the same sweep
-skips every cell that completed before the interruption.  ``profile=True``
-additionally records a per-cell dispatch/serialize/setup/execute/cache
-timing breakdown into :class:`SweepStats`.
+Both paths share one failure path: every cell runs under a
+:class:`~repro.sweep.resilience.RetryPolicy` (``retry=None`` is the
+one-attempt policy), and a cell that runs out of attempts either aborts the
+sweep (fail-fast, the default) or is quarantined.  Completed cells are written
+to the cache *as they finish*, which is what makes interrupted sweeps
+resumable: rerunning the same sweep skips every cell that completed before the
+interruption.  ``profile=True`` additionally records a per-cell
+dispatch/serialize/setup/execute/cache timing breakdown into
+:class:`SweepStats`.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -41,7 +42,8 @@ from ..results import Measurement, ResultSet
 from ..testing.faults import active_fault_plan, fault_point
 from .cache import SweepCache
 from .cells import Cell
-from .resilience import RetryPolicy
+from .resilience import (RetryPolicy, execute_with_retry,
+                         quarantine_measurement, resolve_retry)
 
 __all__ = ["PlannedCell", "SweepStats", "SweepScheduler", "resolve_cache"]
 
@@ -53,13 +55,13 @@ class PlannedCell:
     """One cell plus the two ways of executing it.
 
     ``execute`` runs the cell in-process against the session's shared
-    components; ``payload`` is a self-contained picklable description used by
-    the process pool (``None`` disables process dispatch for this cell).
+    components (the sequential path); ``payload`` is the self-contained
+    description the batched tier builds its worker tasks from.
     """
 
     cell: Cell
     execute: Callable[[], "list[Measurement]"]
-    payload: "dict[str, Any] | None" = None
+    payload: "dict[str, Any]"
 
 
 @dataclass
@@ -83,7 +85,7 @@ class SweepStats:
     executor: str = "thread"
     wall_seconds: float = 0.0
     cells: list[str] = field(default_factory=list)
-    #: Batches dispatched (0 = sequential or per-cell futures path).
+    #: Batches dispatched (0 = sequential path).
     batches: int = 0
     #: Exporting frames into shared-memory segments (dispatcher side).
     serialize_seconds: float = 0.0
@@ -217,7 +219,7 @@ def resolve_cache(cache: "bool | str | Any | None") -> "SweepCache | None":
 
 
 class SweepScheduler:
-    """Dispatches planned cells across a worker pool, deterministically.
+    """Runs planned cells sequentially or on the batched tier, deterministically.
 
     ``on_result`` is a job-granular progress callback invoked once per cell
     as its result lands — ``on_result(cell, measurements, source)`` with
@@ -228,21 +230,22 @@ class SweepScheduler:
     distributed tier uses it to report in-flight cells to the coordinator
     so a lost host's attempt accounting matches the single-host semantics.
 
-    ``retry`` selects the failure semantics: ``None`` (default) keeps the
-    historical fail-fast behaviour — the first cell error aborts the sweep
-    and a dead worker raises.  A :class:`~repro.sweep.resilience.RetryPolicy`
-    (or an int, shorthand for that many retries) switches the scheduler to
-    resilient mode: failed cells are retried with backoff and quarantined
-    after exhausting their attempts, crashed workers are respawned and their
-    uncommitted cells re-dispatched across the pool, and ``cell_timeout``
-    bounds each attempt's wall clock.  Successful results are bit-identical
-    in both modes regardless of how many retries they needed.
+    ``retry`` selects what happens when a cell runs out of attempts.  With
+    ``None`` (default) every cell gets one attempt and the sweep fails fast:
+    the first error stops new cells from starting, cells already finished
+    are still committed, and the error is raised once they have drained.
+    A :class:`~repro.sweep.resilience.RetryPolicy` (or an int, shorthand for
+    that many retries) retries failed cells with backoff and quarantines
+    them after their last attempt; ``cell_timeout`` bounds each attempt's
+    wall clock.  Either way crashed workers are respawned and their
+    uncommitted cells re-dispatched, and successful results are
+    bit-identical regardless of how many attempts they needed.
     """
 
     def __init__(self, workers: int = 1, cache: "SweepCache | None" = None,
                  executor: str = "thread",
                  on_result: "Callable[[Cell, list[Measurement], str], None] | None" = None,
-                 batched: bool = True, profile: bool = False,
+                 profile: bool = False,
                  retry: "RetryPolicy | int | None" = None,
                  on_start: "Callable[[Cell], None] | None" = None,
                  on_complete: "Callable[[Cell, list[Measurement], str, float | None], None] | None" = None,
@@ -268,13 +271,12 @@ class SweepScheduler:
         #: The owner shuts it down; with a pool the batched tier is used
         #: even at ``workers=1``.
         self.pool = pool
-        #: ``False`` restores the historical per-cell futures pool.
-        self.batched = batched
         #: Record per-cell timing breakdowns into ``last_stats.profile``.
         self.profile = profile
-        if isinstance(retry, int) and not isinstance(retry, bool):
-            retry = RetryPolicy.from_retries(retry) if retry > 0 else None
-        self.retry: "RetryPolicy | None" = retry
+        #: The caller's policy; ``None`` means fail-fast.
+        self.retry: "RetryPolicy | None" = resolve_retry(retry)
+        #: The policy every cell runs under (fail-fast: a single attempt).
+        self._policy = self.retry or RetryPolicy(max_attempts=1)
         self.last_stats: "SweepStats | None" = None
 
     def _notify(self, cell: Cell, measurements: "list[Measurement]", source: str) -> None:
@@ -297,6 +299,7 @@ class SweepScheduler:
         stats = SweepStats(total=len(plan), workers=self.workers, executor=self.executor)
         self.last_stats = stats
         slots: "list[list[Measurement] | None]" = [None] * len(plan)
+        errors: "list[BaseException]" = []  # fail-fast: cells out of attempts
 
         # An installed-but-unbound fault plan is bound to this sweep's cell
         # population *before* any worker forks, so every process deterministically
@@ -317,67 +320,61 @@ class SweepScheduler:
                 pending.append(index)
         stats.cells = [planned.cell.cell_id for planned in plan]
 
-        # The batch tier needs self-contained payloads; plans built by hand
-        # with ``payload=None`` (thread-only) keep the per-cell futures path.
-        use_batched = (self.batched and len(pending) > 0
-                       and (self.pool is not None
-                            or (self.workers > 1 and len(pending) > 1))
-                       and all(plan[index].payload is not None
-                               for index in pending))
         try:
-            if use_batched:
-                self._run_batched(plan, pending, slots, stats)
-            elif self.workers == 1 or len(pending) <= 1:
-                for index in pending:
-                    slots[index] = self._complete(plan[index], stats)
+            if pending and (self.pool is not None
+                            or (self.workers > 1 and len(pending) > 1)):
+                self._run_batched(plan, pending, slots, stats, errors)
             else:
-                self._run_pool(plan, pending, slots, stats)
+                for index in pending:
+                    slots[index] = self._complete(plan[index], stats, errors)
+                    if errors:
+                        break
         finally:
             stats.wall_seconds = time.perf_counter() - start
+            stats.failed = len(errors)
+        if errors:
+            raise errors[0]
 
         results = ResultSet()
         for slot in slots:
             results.extend(slot or ())
         return results
 
-    # ------------------------------------------------------------------ #
-    def _complete(self, planned: PlannedCell,
-                  stats: "SweepStats | None" = None) -> "list[Measurement]":
-        self._notify_start(planned.cell)
+    def _out_of_attempts(self, cell: Cell, error: BaseException, attempts: int,
+                         stats: SweepStats, errors: "list[BaseException]"
+                         ) -> "list[Measurement] | None":
+        """Resolve a cell that failed its last attempt.
+
+        This is the one place fail-fast and resilient sweeps differ.  Without
+        a retry policy the error is recorded and ``None`` returned: the caller
+        starts no further cells, and :meth:`run` raises the first error once
+        the finished cells have been committed.  With a policy the cell
+        degrades to a quarantine record, which is never cached (a rerun
+        retries it).
+        """
         if self.retry is None:
-            measurements = self._execute_sequential(planned, stats)
-        else:
-            from .resilience import execute_with_retry
+            errors.append(error)
+            return None
+        measurement = quarantine_measurement(cell, error, attempts)
+        stats.quarantined += 1
+        self._notify(cell, [measurement], "quarantined")
+        self._notify_complete(cell, [measurement], "quarantined", None)
+        return [measurement]
 
-            measurements, attempts, seconds, error = execute_with_retry(
-                planned.execute, planned.cell, self.retry)
-            if error is not None:
-                # poison cell: quarantine record, never cached (a rerun retries)
-                if stats is not None:
-                    stats.quarantined += 1
-                    stats.retries += attempts - 1
-                self._notify(planned.cell, measurements, "quarantined")
-                self._notify_complete(planned.cell, measurements,
-                                      "quarantined", None)
-                return measurements
-            if stats is not None:
-                stats.retries += attempts - 1
-                if attempts > 1:
-                    stats.recovered += 1
-            measurements = self._commit_sequential(planned, measurements,
-                                                   seconds, stats)
-        return measurements
-
-    def _execute_sequential(self, planned: PlannedCell,
-                            stats: "SweepStats | None") -> "list[Measurement]":
-        started = time.perf_counter()
-        measurements = planned.execute()
-        seconds = time.perf_counter() - started
-        return self._commit_sequential(planned, measurements, seconds, stats)
-
-    def _commit_sequential(self, planned: PlannedCell,
-                           measurements: "list[Measurement]", seconds: float,
-                           stats: "SweepStats | None") -> "list[Measurement]":
+    # ------------------------------------------------------------------ #
+    # the sequential path: plan order, the session's in-process thunks
+    # ------------------------------------------------------------------ #
+    def _complete(self, planned: PlannedCell, stats: SweepStats,
+                  errors: "list[BaseException]") -> "list[Measurement] | None":
+        self._notify_start(planned.cell)
+        measurements, attempts, seconds, error = execute_with_retry(
+            planned.execute, planned.cell, self._policy)
+        stats.retries += attempts - 1
+        if error is not None:
+            return self._out_of_attempts(planned.cell, error, attempts,
+                                         stats, errors)
+        if attempts > 1:
+            stats.recovered += 1
         cache_started = time.perf_counter()
         if self.cache is not None:
             self.cache.store(planned.cell, measurements, seconds=seconds)
@@ -385,14 +382,13 @@ class SweepScheduler:
         from .workers import hint_memory
 
         hint_memory.record(planned.cell, seconds)
-        if stats is not None:
-            stats.executed += 1
-            stats.execute_seconds += seconds
-            if self.profile:
-                stats.profile.append({
-                    "cell": planned.cell.label(), "dispatch": 0.0,
-                    "serialize": 0.0, "setup": 0.0, "execute": seconds,
-                    "cache": cache_seconds})
+        stats.executed += 1
+        stats.execute_seconds += seconds
+        if self.profile:
+            stats.profile.append({
+                "cell": planned.cell.label(), "dispatch": 0.0,
+                "serialize": 0.0, "setup": 0.0, "execute": seconds,
+                "cache": cache_seconds})
         self._notify(planned.cell, measurements, "executed")
         self._notify_complete(planned.cell, measurements, "executed", seconds)
         return measurements
@@ -402,14 +398,14 @@ class SweepScheduler:
     # ------------------------------------------------------------------ #
     def _run_batched(self, plan: Sequence[PlannedCell], pending: "list[int]",
                      slots: "list[list[Measurement] | None]",
-                     stats: SweepStats) -> None:
+                     stats: SweepStats, errors: "list[BaseException]") -> None:
         from ..frame.sharing import SharedFrameStore
-        from .resilience import WorkerCrashError, quarantine_measurement
+        from .resilience import WorkerCrashError
         from .workers import (CellBatch, ProcessWorkerPool,
                               ThreadBatchExecutor, assign_shards,
                               build_batches, decode_error, hint_memory)
 
-        retry = self.retry
+        policy = self._policy
         batches = build_batches(plan, pending, cache=self.cache)
         pool_workers = (self.pool.workers if self.pool is not None
                         else self.workers)
@@ -422,7 +418,6 @@ class SweepScheduler:
 
         store: "SharedFrameStore | None" = None
         pool = None
-        errors: "list[BaseException]" = []
         try:
             # Everything from here sits inside the try so that a failure (or
             # Ctrl-C) during frame export or pool spawn — e.g. a worker that
@@ -528,25 +523,23 @@ class SweepScheduler:
                     batch_segments[batch.batch_id] = segments
                 pool.dispatch(worker_id, batch)
 
-            def quarantine(index: int, error: BaseException) -> None:
-                cell = plan[index].cell
-                measurement = quarantine_measurement(
-                    cell, error, attempts.get(index, 0))
-                slots[index] = [measurement]
-                stats.quarantined += 1
+            def give_up(index: int, error: BaseException) -> None:
                 unresolved.discard(index)
                 if store is not None:
                     for segment in held.pop(index, ()):
                         store.release(segment)
-                self._notify(cell, [measurement], "quarantined")
-                self._notify_complete(cell, [measurement], "quarantined", None)
+                slots[index] = self._out_of_attempts(
+                    plan[index].cell, error, attempts.get(index, 0), stats,
+                    errors)
+                if slots[index] is None:
+                    pool.abort.set()  # unstarted cells drain as "skip"
 
             def handle_failure(index: int, error: BaseException) -> None:
-                """Charge the in-flight attempt; retry with backoff or quarantine."""
+                """Charge the in-flight attempt; retry with backoff or give up."""
                 if index not in unresolved:
                     return
                 charged = attempts.get(index, 0)
-                if retry is not None and charged < retry.max_attempts:
+                if charged < policy.max_attempts:
                     stats.retries += 1
                     if store is not None and index not in held:
                         segments = task_segments(task_by_index[index])
@@ -554,11 +547,11 @@ class SweepScheduler:
                             store.retain(segment)  # survive batch release
                         held[index] = segments
                     ready = (time.perf_counter()
-                             + retry.backoff_seconds(plan[index].cell.cell_id,
-                                                     max(1, charged)))
+                             + policy.backoff_seconds(plan[index].cell.cell_id,
+                                                      max(1, charged)))
                     waiting.append((ready, index))
                 else:
-                    quarantine(index, error)
+                    give_up(index, error)
 
             def handle_dead_worker(worker_id: int, reason: str) -> None:
                 nonlocal respawn_budget
@@ -619,17 +612,13 @@ class SweepScheduler:
                         else:
                             still_waiting.append((ready, index))
                     waiting[:] = still_waiting
-                if retry is not None and retry.cell_timeout:
+                if policy.cell_timeout:
                     for worker_id, index in list(current.items()):
                         if (index is not None and index in unresolved
                                 and now - started_at.get(index, now)
-                                > retry.cell_timeout):
+                                > policy.cell_timeout):
                             pool.kill(worker_id)  # recovered as a dead worker
                 for worker_id in pool.check_workers():
-                    if retry is None:
-                        raise RuntimeError(
-                            f"sweep worker {worker_id} died with "
-                            f"{len(unresolved)} cell(s) unresolved")
                     handle_dead_worker(worker_id, f"worker {worker_id} died")
 
             pool.submit(assignments)
@@ -639,11 +628,6 @@ class SweepScheduler:
                     event = pool.get_event(timeout=0.25)
                 except Exception:  # queue.Empty (both flavours raise it)
                     event = None
-                    if (retry is None and not pool.alive()
-                            and (unresolved or outstanding)):
-                        raise RuntimeError(
-                            f"sweep workers died with {len(outstanding)} "
-                            f"batch(es) outstanding") from None
                 if event is not None:
                     kind = event[0]
                     if kind == "start":
@@ -693,12 +677,7 @@ class SweepScheduler:
                         cells = open_cells.get(batch_id)
                         if cells is not None:
                             cells.discard(index)
-                        if retry is None:
-                            unresolved.discard(index)
-                            errors.append(decode_error(encoded))
-                            pool.abort.set()  # remaining cells drain as "skip"
-                        else:
-                            handle_failure(index, decode_error(encoded))
+                        handle_failure(index, decode_error(encoded))
                     elif kind == "skip":
                         _, worker_id, batch_id, index = event
                         unresolved.discard(index)
@@ -730,78 +709,10 @@ class SweepScheduler:
             if store is not None:
                 # segments must never outlive the sweep, whatever happened
                 store.close()
-        if errors:
-            stats.failed = len(errors)
-            raise errors[0]
-
-    def _run_pool(self, plan: Sequence[PlannedCell], pending: "list[int]",
-                  slots: "list[list[Measurement] | None]", stats: SweepStats) -> None:
-        pool_cls = ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-        errors: "list[BaseException]" = []
-        with pool_cls(max_workers=min(self.workers, len(pending))) as pool:
-            futures: "dict[Future, int]" = {}
-            for index in pending:
-                planned = plan[index]
-                if self.executor == "process":
-                    if planned.payload is None:
-                        raise ValueError(
-                            f"cell {planned.cell.label()} has no picklable payload; "
-                            f"use executor='thread'")
-                    futures[pool.submit(execute_payload, planned.payload)] = index
-                else:
-                    futures[pool.submit(planned.execute)] = index
-                self._notify_start(planned.cell)
-            # Results are committed to the cache as each cell completes, so a
-            # sweep killed at any point resumes from the cells that finished.
-            # The first failing cell cancels the cells that have not started,
-            # but everything already running is still collected and cached.
-            try:
-                for future in as_completed(futures):
-                    if future.cancelled():
-                        continue
-                    error = future.exception()
-                    if error is not None:
-                        errors.append(error)
-                        for queued in futures:
-                            if not queued.done():
-                                queued.cancel()
-                        continue
-                    index = futures[future]
-                    measurements = future.result()
-                    slots[index] = measurements
-                    stats.executed += 1
-                    if self.cache is not None:
-                        self.cache.store(plan[index].cell, measurements)
-                    self._notify(plan[index].cell, measurements, "executed")
-                    self._notify_complete(plan[index].cell, measurements,
-                                          "executed", None)
-            except BaseException:  # e.g. Ctrl-C in the main thread
-                for queued in futures:
-                    queued.cancel()
-                # Cells whose futures already completed did their work: drain
-                # them into the cache/slots before propagating, so a resumed
-                # sweep does not re-execute finished cells.
-                for future, index in futures.items():
-                    if (slots[index] is not None or not future.done()
-                            or future.cancelled()
-                            or future.exception() is not None):
-                        continue
-                    measurements = future.result()
-                    slots[index] = measurements
-                    stats.executed += 1
-                    if self.cache is not None:
-                        self.cache.store(plan[index].cell, measurements)
-                    self._notify(plan[index].cell, measurements, "executed")
-                    self._notify_complete(plan[index].cell, measurements,
-                                          "executed", None)
-                raise
-        if errors:
-            stats.failed = len(errors)
-            raise errors[0]
 
 
 # --------------------------------------------------------------------------- #
-# cell execution: one implementation shared by the thread and process paths
+# cell execution: one implementation shared by every path
 # --------------------------------------------------------------------------- #
 def execute_cell(cell: Cell, engine, *, runner=None, frame=None, sim=None,
                  pipeline=None, tpch_runner=None,
@@ -809,10 +720,10 @@ def execute_cell(cell: Cell, engine, *, runner=None, frame=None, sim=None,
     """Run one cell against resolved components and return its measurements.
 
     This is the *single* place a cell's coordinates are turned into
-    ``measure_*`` calls: the session's thread-pool thunks call it with shared
-    components, and :func:`execute_payload` calls it with components rebuilt
-    inside a worker process — so both executors produce identical records by
-    construction.  The cell's ``backend`` coordinate is realized here too:
+    ``measure_*`` calls: the session's sequential thunks call it with shared
+    components, and batched workers call it with their warm per-worker
+    components (rebuilt inside the process on the process executor) — so
+    every path produces identical records by construction.  The cell's ``backend`` coordinate is realized here too:
     the input frame is converted to the requested physical representation,
     the substrate's active backend is switched for the duration of the cell,
     and every emitted measurement is stamped with the backend it ran on.
@@ -860,37 +771,3 @@ def _execute_cell_inner(cell: Cell, engine, *, runner, frame, sim, pipeline,
         return [runner.measure_full(engine, frame, pipeline, sim, lazy=cell.lazy,
                                     streaming=cell.streaming)]
     raise ValueError(f"unknown cell mode {cell.mode!r}")
-
-
-@functools.lru_cache(maxsize=2)
-def _tpch_data_cached(physical_scale_factor: float, seed: int):
-    """Per-worker-process TPC-H data (regeneration is deterministic, so this
-    matches the parent's data without pickling the whole database per cell)."""
-    from ..tpch.datagen import generate_tpch
-
-    return generate_tpch(physical_scale_factor, seed=seed)
-
-
-def execute_payload(payload: "dict[str, Any]") -> "list[Measurement]":
-    """Re-execute one cell from a self-contained payload in a worker process.
-
-    The payload carries the cell plus everything its measurement needs: the
-    machine configuration and optimizer settings (the engine is rebuilt by
-    name), the physical frame, the simulation context and the pipeline — or
-    the TPC-H scale factor and seed for ``mode="tpch"`` cells.
-    """
-    from ..core.runner import MatrixRunner
-    from ..engines.registry import create_engine
-
-    cell: Cell = payload["cell"]
-    engine = create_engine(cell.engine, payload["machine"],
-                           optimizer_settings=payload.get("optimizer"))
-    runner = MatrixRunner(runs=cell.runs)
-    if cell.mode == "tpch":
-        from ..tpch.runner import TPCHRunner
-
-        data = _tpch_data_cached(payload["tpch_scale_factor"], payload["tpch_seed"])
-        return execute_cell(cell, engine,
-                            tpch_runner=TPCHRunner(data, runs=cell.runs))
-    return execute_cell(cell, engine, runner=runner, frame=payload["frame"],
-                        sim=payload["sim"], pipeline=payload["pipeline"])

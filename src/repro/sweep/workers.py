@@ -379,9 +379,9 @@ class ThreadBatchExecutor:
     """Batched thread pool: workers share one memo and live frames.
 
     Threads cannot beat the GIL on this numpy-light substrate; what the
-    batched thread path buys over per-cell futures is the shared
-    :class:`SubstrateMemo` (cross-engine/cross-run dedup) and batch-ordered
-    dispatch. Zero serialization: tasks reference the session's own objects.
+    batched thread path buys is the shared :class:`SubstrateMemo`
+    (cross-engine/cross-run dedup) and batch-ordered dispatch. Zero
+    serialization: tasks reference the session's own objects.
 
     A thread cannot be killed, so ``kill`` *abandons* it: the thread keeps
     running as a daemon (it may finish its hung cell and even later batches,
@@ -444,9 +444,6 @@ class ThreadBatchExecutor:
         self._queues[worker_id] = queue.Queue()
         self._inflight[worker_id] = [-1]  # detach the abandoned thread's cell
         self._threads[worker_id] = self._spawn(worker_id)
-
-    def alive(self) -> bool:
-        return any(thread.is_alive() for thread in self._threads)
 
     def terminate(self) -> None:
         self.abort.set()
@@ -562,9 +559,6 @@ class ProcessWorkerPool:
         self._tasks[worker_id] = self._ctx.Queue()
         self._inflight[worker_id] = self._ctx.Value("i", -1)
         self._procs[worker_id] = self._spawn(worker_id)
-
-    def alive(self) -> bool:
-        return any(proc.is_alive() for proc in self._procs)
 
     def terminate(self) -> None:
         self.abort.set()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BentoRunner, Pipeline
+from repro.core import MatrixRunner, Pipeline
 from repro.engines import (
     DEFAULT_ENGINES,
     EngineUnavailableError,
@@ -88,7 +88,6 @@ class TestExecuteStep:
     def test_results_identical_across_engines(self, frame, sim, pipeline, engines):
         """Every simulated engine must produce the same physical result."""
         reference = None
-        runner = BentoRunner(runs=1)
         for name, engine in engines.items():
             current = frame
             for step in pipeline.steps:
@@ -149,45 +148,49 @@ class TestExecuteStep:
 
 class TestRunner:
     def test_function_core_reports_every_step(self, frame, sim, pipeline):
-        runner = BentoRunner(runs=2)
-        timing = runner.run_function_core(create_engine("pandas"), frame, pipeline, sim)
-        assert not timing.failed
-        assert len(timing.seconds_by_call) == len(pipeline)
-        assert set(timing.seconds_by_preparator()) == set(pipeline.preparators_used())
-        assert timing.total_seconds > 0
+        runner = MatrixRunner(runs=2)
+        measurements = runner.measure_function_core(create_engine("pandas"), frame,
+                                                    pipeline, sim)
+        assert not any(m.failed for m in measurements)
+        assert len(measurements) == len(pipeline)
+        assert {m.step for m in measurements} == set(pipeline.preparators_used())
+        assert sum(m.seconds for m in measurements) > 0
 
     def test_stage_timings_cover_all_stages(self, frame, sim, pipeline):
-        runner = BentoRunner(runs=1)
-        stages = runner.run_all_stages(create_engine("polars"), frame, pipeline, sim)
-        assert set(stages) == {"I/O", "EDA", "DT", "DC"}
-        assert all(t.seconds >= 0 for t in stages.values())
+        runner = MatrixRunner(runs=1)
+        stages = runner.measure_stages(create_engine("polars"), frame, pipeline, sim)
+        assert {m.stage for m in stages} == {"I/O", "EDA", "DT", "DC"}
+        assert all(m.seconds >= 0 for m in stages)
 
     def test_full_pipeline_lazy_faster_for_spark(self, frame, sim, pipeline):
-        runner = BentoRunner(runs=1)
+        runner = MatrixRunner(runs=1)
         spark = create_engine("sparkpd")
-        eager = runner.run_full(spark, frame, pipeline, sim, lazy=False)
-        lazy = runner.run_full(spark, frame, pipeline, sim, lazy=True)
+        eager = runner.measure_full(spark, frame, pipeline, sim, lazy=False)
+        lazy = runner.measure_full(spark, frame, pipeline, sim, lazy=True)
         assert lazy.seconds < eager.seconds
 
     def test_full_matrix(self, frame, sim, pipeline, engines):
-        runner = BentoRunner(runs=1)
-        timings = runner.run_full_matrix(engines, frame, pipeline, sim)
-        assert set(timings) == set(engines)
-        assert timings["cudf"].seconds < timings["pandas"].seconds
+        runner = MatrixRunner(runs=1)
+        measurements = {name: runner.measure_full(engine, frame, pipeline, sim)
+                        for name, engine in engines.items()}
+        assert set(measurements) == set(engines)
+        assert measurements["cudf"].seconds < measurements["pandas"].seconds
 
     def test_oom_is_reported_not_raised(self, frame, pipeline):
-        runner = BentoRunner(runs=1)
+        runner = MatrixRunner(runs=1)
         laptop_sim = SimulationContext.for_frame(frame, LAPTOP, nominal_rows=80_000_000,
                                                  name="huge")
-        timing = runner.run_full(create_engine("pandas", LAPTOP), frame, pipeline, laptop_sim)
-        assert timing.failed and "GiB" in timing.failure_reason
+        measurement = runner.measure_full(create_engine("pandas", LAPTOP), frame,
+                                          pipeline, laptop_sim)
+        assert measurement.failed and "GiB" in measurement.failure_reason
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
-            BentoRunner(runs=0)
+            MatrixRunner(runs=0)
 
     def test_run_stage_missing_stage_returns_zero(self, frame, sim):
         pipeline = Pipeline.from_steps("noio", "tiny", [("sort", {"by": ["num"]})])
-        runner = BentoRunner(runs=1)
-        timing = runner.run_stage(create_engine("pandas"), frame, pipeline, "DC", sim)
-        assert timing.seconds == 0.0 and not timing.failed
+        runner = MatrixRunner(runs=1)
+        measurement = runner.measure_stage(create_engine("pandas"), frame, pipeline,
+                                           "DC", sim)
+        assert measurement.seconds == 0.0 and not measurement.failed

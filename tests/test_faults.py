@@ -310,3 +310,22 @@ class TestChaosSweeps:
         session = Session(_CONFIG)
         with pytest.raises(Exception):
             session.run("full", workers=1, cache=False)  # retry=None
+
+    @pytest.mark.parametrize("workers, executor, spec", [
+        (1, "thread", "flaky:1"),
+        (2, "thread", "flaky:1"),
+        (2, "process", "kill:1,flaky:1"),
+    ], ids=["sequential", "thread-2", "process-2"])
+    def test_fail_fast_commits_finished_cells(self, tmp_path, workers,
+                                              executor, spec):
+        # retry=None on every path: the sweep raises, counts the failure,
+        # and every cell that finished before the abort is in the cache.
+        install_fault_plan(FaultPlan.from_spec(spec, seed=7, flaky_attempts=99))
+        cache = SweepCache(tmp_path)
+        session = Session(_CONFIG)
+        with pytest.raises(Exception):
+            session.run("full", workers=workers, executor=executor, cache=cache)
+        stats = session.last_sweep
+        assert stats.failed >= 1
+        assert stats.executed == cache.stores
+        assert not _leaked_segments()

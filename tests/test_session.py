@@ -1,7 +1,7 @@
-"""Tests for the Session facade, the CLI and the legacy-runner shims.
+"""Tests for the Session facade and the CLI.
 
 The regression classes replicate the pre-refactor experiment-driver logic on
-top of the deprecated ``BentoRunner`` API and assert that the rewritten
+top of direct ``MatrixRunner.measure_*`` calls and assert that the rewritten
 drivers (which go through ``Session.run`` + ``ResultSet``) produce exactly the
 same values.
 """
@@ -10,10 +10,9 @@ import json
 
 import pytest
 
-from repro import BentoRunner, ExperimentConfig, Measurement, ResultSet, Session
+from repro import ExperimentConfig, MatrixRunner, Measurement, ResultSet, Session
 from repro.__main__ import main as cli_main
 from repro.core.metrics import speedup
-from repro.core.runner import PipelineTiming, PreparatorTiming, StageTiming
 from repro.core.stages import Stage
 from repro.experiments import fig1_stage_speedup, fig5_pipeline_speedup
 
@@ -91,68 +90,8 @@ class TestSessionBasics:
         assert len(results) == 1 and results[0].dataset == sample.name
 
 
-class TestRunnerShims:
-    """The deprecated BentoRunner API must match the new-API numbers."""
-
-    @pytest.fixture(scope="class")
-    def parts(self):
-        session = Session(_CONFIG)
-        generated = session.dataset("athlete")
-        sim = session.context_for("athlete")
-        pipeline = session.pipelines_for("athlete")[0]
-        return session, generated, sim, pipeline
-
-    def test_run_full_matches_measure_full(self, parts):
-        session, generated, sim, pipeline = parts
-        engine = session.engines["polars"]
-        runner = BentoRunner(runs=1)
-        with pytest.warns(DeprecationWarning):
-            timing = runner.run_full(engine, generated.frame, pipeline, sim)
-        measurement = runner.measure_full(engine, generated.frame, pipeline, sim)
-        assert isinstance(timing, PipelineTiming)
-        assert timing.seconds == measurement.seconds
-        assert timing.peak_bytes == measurement.peak_bytes
-        assert timing.lazy == measurement.lazy
-        # the legacy dataclass never carried the machine, so it round-trips empty
-        roundtripped = timing.to_measurement()
-        assert roundtripped == Measurement.from_dict({**measurement.to_dict(),
-                                                      "machine": ""})
-
-    def test_run_stage_matches_measure_stage(self, parts):
-        session, generated, sim, pipeline = parts
-        engine = session.engines["pandas"]
-        runner = BentoRunner(runs=1)
-        with pytest.warns(DeprecationWarning):
-            timing = runner.run_stage(engine, generated.frame, pipeline, Stage.EDA, sim)
-        measurement = runner.measure_stage(engine, generated.frame, pipeline,
-                                           Stage.EDA, sim)
-        assert isinstance(timing, StageTiming)
-        assert timing.seconds == measurement.seconds
-        assert timing.stage == measurement.stage == "EDA"
-
-    def test_run_function_core_matches_measurements(self, parts):
-        session, generated, sim, pipeline = parts
-        engine = session.engines["pandas"]
-        runner = BentoRunner(runs=1)
-        with pytest.warns(DeprecationWarning):
-            timing = runner.run_function_core(engine, generated.frame, pipeline, sim)
-        measurements = runner.measure_function_core(engine, generated.frame, pipeline, sim)
-        assert isinstance(timing, PreparatorTiming)
-        assert timing.seconds_by_call == [(m.step, m.seconds) for m in measurements]
-        assert timing.total_seconds == pytest.approx(sum(m.seconds for m in measurements))
-        assert [m.step for m in timing.to_measurements()] == [m.step for m in measurements]
-
-    def test_session_matches_shim_numbers(self, parts):
-        session, generated, sim, pipeline = parts
-        results = session.run(mode="full", engines=["polars"], pipelines=[pipeline])
-        shim = BentoRunner(runs=session.config.runs)
-        timing = shim.run_full_matrix({"polars": session.engines["polars"]},
-                                      generated.frame, pipeline, sim)["polars"]
-        assert results[0].seconds == timing.seconds
-
-
 class TestDriverRegression:
-    """Pre-refactor driver logic (on the shim API) vs the rewritten drivers."""
+    """Pre-refactor driver logic (on direct runner calls) vs the rewritten drivers."""
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -170,89 +109,87 @@ class TestDriverRegression:
         assert new.seconds == old_seconds
         assert new.speedups == old_speedups
 
-    # -- verbatim ports of the pre-refactor drivers, on the deprecated API -- #
+    # -- ports of the pre-refactor drivers, on direct MatrixRunner calls -- #
     @staticmethod
     def _legacy_fig1(setup):
-        runner = BentoRunner(runs=setup.config.runs)
+        runner = MatrixRunner(runs=setup.config.runs)
         baseline = setup.baseline()
         speedups: dict = {}
         seconds: dict = {}
-        with pytest.warns(DeprecationWarning):
-            for dataset_name, generated in setup.datasets.items():
-                sim = generated.simulation_context(setup.config.machine,
-                                                   runs=setup.config.runs)
-                pipelines = setup.pipelines_for(dataset_name)
-                speedups[dataset_name] = {}
-                seconds[dataset_name] = {}
-                for stage in (Stage.EDA, Stage.DT, Stage.DC):
-                    stage_seconds: dict = {}
-                    for pipeline in pipelines:
-                        if not pipeline.steps_for_stage(stage):
-                            continue
-                        baseline_timing = runner.run_stage(baseline, generated.frame,
-                                                           pipeline, stage, sim)
-                        for engine_name, engine in setup.engines.items():
-                            timing = (baseline_timing if engine_name == "pandas"
-                                      else runner.run_stage(engine, generated.frame,
-                                                            pipeline, stage, sim))
-                            if timing.failed:
-                                continue
-                            stage_seconds.setdefault(engine_name, []).append(timing.seconds)
-                    averaged = {name: sum(values) / len(values)
-                                for name, values in stage_seconds.items() if values}
-                    if "pandas" not in averaged:
+        for dataset_name, generated in setup.datasets.items():
+            sim = generated.simulation_context(setup.config.machine,
+                                               runs=setup.config.runs)
+            pipelines = setup.pipelines_for(dataset_name)
+            speedups[dataset_name] = {}
+            seconds[dataset_name] = {}
+            for stage in (Stage.EDA, Stage.DT, Stage.DC):
+                stage_seconds: dict = {}
+                for pipeline in pipelines:
+                    if not pipeline.steps_for_stage(stage):
                         continue
-                    pandas_seconds = averaged["pandas"]
-                    seconds[dataset_name][stage.value] = averaged
-                    speedups[dataset_name][stage.value] = {
-                        name: speedup(pandas_seconds, value)
-                        for name, value in averaged.items()
-                    }
+                    baseline_timing = runner.measure_stage(baseline, generated.frame,
+                                                           pipeline, stage, sim)
+                    for engine_name, engine in setup.engines.items():
+                        timing = (baseline_timing if engine_name == "pandas"
+                                  else runner.measure_stage(engine, generated.frame,
+                                                            pipeline, stage, sim))
+                        if timing.failed:
+                            continue
+                        stage_seconds.setdefault(engine_name, []).append(timing.seconds)
+                averaged = {name: sum(values) / len(values)
+                            for name, values in stage_seconds.items() if values}
+                if "pandas" not in averaged:
+                    continue
+                pandas_seconds = averaged["pandas"]
+                seconds[dataset_name][stage.value] = averaged
+                speedups[dataset_name][stage.value] = {
+                    name: speedup(pandas_seconds, value)
+                    for name, value in averaged.items()
+                }
         return speedups, seconds
 
     @staticmethod
     def _legacy_fig5(setup):
-        runner = BentoRunner(runs=setup.config.runs)
+        runner = MatrixRunner(runs=setup.config.runs)
         baseline = setup.baseline()
         speedups: dict = {}
         seconds: dict = {}
-        with pytest.warns(DeprecationWarning):
-            for dataset_name, generated in setup.datasets.items():
-                sim = generated.simulation_context(setup.config.machine,
-                                                   runs=setup.config.runs)
-                per_engine_mode: dict = {}
-                for pipeline in setup.pipelines_for(dataset_name):
-                    baseline_timing = runner.run_full(baseline, generated.frame,
+        for dataset_name, generated in setup.datasets.items():
+            sim = generated.simulation_context(setup.config.machine,
+                                               runs=setup.config.runs)
+            per_engine_mode: dict = {}
+            for pipeline in setup.pipelines_for(dataset_name):
+                baseline_timing = runner.measure_full(baseline, generated.frame,
                                                       pipeline, sim, lazy=False)
-                    if baseline_timing.failed:
-                        continue
-                    per_engine_mode.setdefault("pandas", {}).setdefault("eager", []).append(
-                        baseline_timing.seconds)
-                    for engine_name, engine in setup.engines.items():
-                        if engine_name == "pandas":
-                            continue
-                        modes = ["eager", "lazy"] if engine.supports_lazy else ["eager"]
-                        for mode in modes:
-                            timing = runner.run_full(engine, generated.frame, pipeline,
-                                                     sim, lazy=(mode == "lazy"))
-                            if timing.failed:
-                                continue
-                            per_engine_mode.setdefault(engine_name, {}).setdefault(
-                                mode, []).append(timing.seconds)
-                pandas_values = per_engine_mode.get("pandas", {}).get("eager", [])
-                if not pandas_values:
+                if baseline_timing.failed:
                     continue
-                pandas_seconds = sum(pandas_values) / len(pandas_values)
-                seconds[dataset_name] = {}
-                speedups[dataset_name] = {}
-                for engine_name, modes in per_engine_mode.items():
-                    averaged = {mode: sum(values) / len(values)
-                                for mode, values in modes.items() if values}
-                    seconds[dataset_name][engine_name] = averaged
-                    speedups[dataset_name][engine_name] = {
-                        mode: speedup(pandas_seconds, value)
-                        for mode, value in averaged.items()
-                    }
+                per_engine_mode.setdefault("pandas", {}).setdefault("eager", []).append(
+                    baseline_timing.seconds)
+                for engine_name, engine in setup.engines.items():
+                    if engine_name == "pandas":
+                        continue
+                    modes = ["eager", "lazy"] if engine.supports_lazy else ["eager"]
+                    for mode in modes:
+                        timing = runner.measure_full(engine, generated.frame, pipeline,
+                                                     sim, lazy=(mode == "lazy"))
+                        if timing.failed:
+                            continue
+                        per_engine_mode.setdefault(engine_name, {}).setdefault(
+                            mode, []).append(timing.seconds)
+            pandas_values = per_engine_mode.get("pandas", {}).get("eager", [])
+            if not pandas_values:
+                continue
+            pandas_seconds = sum(pandas_values) / len(pandas_values)
+            seconds[dataset_name] = {}
+            speedups[dataset_name] = {}
+            for engine_name, modes in per_engine_mode.items():
+                averaged = {mode: sum(values) / len(values)
+                            for mode, values in modes.items() if values}
+                seconds[dataset_name][engine_name] = averaged
+                speedups[dataset_name][engine_name] = {
+                    mode: speedup(pandas_seconds, value)
+                    for mode, value in averaged.items()
+                }
         return speedups, seconds
 
 

@@ -309,20 +309,13 @@ class TestResume:
 
 
 # --------------------------------------------------------------------------- #
-# the deprecated runner property and the primary MatrixRunner
+# the primary MatrixRunner
 # --------------------------------------------------------------------------- #
 class TestRunnerProperty:
     def test_matrix_runner_is_primary(self, session):
         assert type(session.matrix_runner) is MatrixRunner
         assert session.matrix_runner is session.matrix_runner
         assert session.matrix_runner.runs == session.config.runs
-
-    def test_legacy_runner_warns(self, session):
-        from repro.core.runner import BentoRunner
-
-        with pytest.warns(DeprecationWarning, match="Session.runner is deprecated"):
-            legacy = session.runner
-        assert isinstance(legacy, BentoRunner)
 
 
 # --------------------------------------------------------------------------- #

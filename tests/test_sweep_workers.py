@@ -208,14 +208,6 @@ class TestBatchedEquality:
         assert session.last_sweep.batches > 0
         assert not _leaked_segments()
 
-    def test_unbatched_fallback_equals_sequential(self, sequential):
-        session = _fresh_session()
-        plan = session.plan("full", lazy="both")
-        scheduler = SweepScheduler(workers=4, batched=False)
-        results = scheduler.run(plan)
-        assert [m.to_dict() for m in results] == sequential
-        assert scheduler.last_stats.batches == 0
-
     def test_tpch_thread_and_process_equal_sequential(self):
         queries = ["q01", "q06"]
         reference = [m.to_dict() for m in
@@ -302,30 +294,27 @@ class TestBatchedFailures:
             scheduler.run(plan)
         assert not _leaked_segments()
 
-    def test_pool_interrupt_drains_done_futures(self, tmp_path, monkeypatch):
-        # Satellite fix: a BaseException (Ctrl-C) in the scheduling thread
-        # must not discard cells whose futures already completed.
-        from concurrent import futures as futures_mod
-
-        from repro.sweep import scheduler as scheduler_mod
-
+    def test_pool_interrupt_drains_done_futures(self, tmp_path):
+        # A BaseException (Ctrl-C) in the scheduling thread of a process
+        # sweep keeps every cell committed before it and still unlinks every
+        # exported segment.
         session = _fresh_session()
         plan = session.plan("full")
         cache = SweepCache(tmp_path)
+        landed = []
 
-        def interrupted_as_completed(fs, timeout=None):
-            done, _ = futures_mod.wait(list(fs))
-            assert done  # all work finished before the "interrupt"
-            raise KeyboardInterrupt
+        def interrupt_after_three(cell, measurements, source):
+            landed.append(cell)
+            if len(landed) == 3:
+                raise KeyboardInterrupt
 
-        monkeypatch.setattr(scheduler_mod, "as_completed",
-                            interrupted_as_completed)
-        scheduler = SweepScheduler(workers=2, cache=cache, batched=False)
+        scheduler = SweepScheduler(workers=2, cache=cache, executor="process",
+                                   on_result=interrupt_after_three)
         with pytest.raises(KeyboardInterrupt):
             scheduler.run(plan)
-        stats = scheduler.last_stats
-        assert stats.executed == len(plan)  # drained, counted ...
-        assert cache.stores == len(plan)  # ... and committed to the cache
+        assert scheduler.last_stats.executed == 3  # counted ...
+        assert cache.stores == 3  # ... and committed to the cache
+        assert not _leaked_segments()
 
 
 # --------------------------------------------------------------------------- #
