@@ -37,6 +37,13 @@ _ROW_PARALLEL = {"fillna", "calccol", "setcase", "replace", "edit", "isna", "que
 _DEFAULT_TO_PANDAS_PENALTY = 4.0
 
 
+def partition_bounds(rows: int, parts: int) -> list[tuple[int, int]]:
+    """Balanced ``[start, stop)`` row ranges: ``min(rows, parts)`` non-empty
+    pieces whose sizes differ by at most one row."""
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
+
+
 class _ModinEngine(BaseEngine):
     """Shared behaviour of the two Modin executors."""
 
@@ -52,18 +59,16 @@ class _ModinEngine(BaseEngine):
 
     def _preparator_path_tag(self, preparator: Preparator, frame: DataFrame) -> str:
         if preparator.name in _ROW_PARALLEL and frame.num_rows >= 4:
-            return f"part{self._partition_count()}"
+            pieces = len(partition_bounds(frame.num_rows, self._partition_count()))
+            return f"part{pieces}"
         return super()._preparator_path_tag(preparator, frame)
 
     def _execute_partitioned(self, preparator: Preparator, frame: DataFrame,
                              params: Mapping[str, Any]) -> PreparatorResult:
-        parts = self._partition_count()
-        rows = frame.num_rows
-        step = max(1, rows // parts)
         pieces: list[DataFrame] = []
         chained = True
-        for start in range(0, rows, step):
-            chunk = frame.slice(start, step)
+        for start, stop in partition_bounds(frame.num_rows, self._partition_count()):
+            chunk = frame.slice(start, stop - start)
             result = preparator.apply(chunk, params)
             chained = result.chained
             pieces.append(result.frame if result.chained else chunk)

@@ -163,14 +163,38 @@ class Column:
 
     @classmethod
     def _encode_categorical(cls, strings: np.ndarray, validity: np.ndarray) -> "Column":
-        valid_strings = [s for s, ok in zip(strings, validity) if ok]
-        categories = np.array(sorted(set(valid_strings)), dtype=object)
-        lookup = {cat: i for i, cat in enumerate(categories)}
+        # the category table is the sorted distinct *valid* strings, so
+        # categories no row uses are dropped; null rows carry code -1
+        validity = np.asarray(validity, dtype=bool)
         codes = np.full(len(strings), -1, dtype=np.int32)
-        for i, (s, ok) in enumerate(zip(strings, validity)):
-            if ok:
-                codes[i] = lookup[s]
+        valid_strings = np.asarray(strings, dtype=object)[validity]
+        if valid_strings.size:
+            categories, inverse = np.unique(valid_strings, return_inverse=True)
+            codes[validity] = inverse.astype(np.int32)
+        else:
+            categories = np.empty(0, dtype=object)
         return cls(codes, CATEGORICAL, validity.copy(), categories=categories)
+
+    @classmethod
+    def _from_storage(cls, values: np.ndarray, dtype: DType, validity: np.ndarray
+                      ) -> "Column":
+        """Wrap freshly gathered storage buffers, normalized the way
+        :meth:`from_values` writes them: a valid float NaN becomes a null, and
+        null slots hold ``None`` (strings), ``False`` (bools) or ``0``.
+
+        ``values`` and ``validity`` must be owned by the caller (the result of
+        a fancy index or a concatenation): they are modified in place.  STRING
+        columns keep the plain object representation; CATEGORICAL columns
+        are not accepted (re-encode them with :meth:`_encode_categorical`).
+        """
+        if dtype is STRING:
+            values[~validity] = None
+            return cls(values, STRING, validity)
+        values = values.astype(numpy_storage_dtype(dtype), copy=False)
+        if dtype is FLOAT64:
+            validity &= ~np.isnan(values)
+        values[~validity] = False if dtype is BOOL else 0
+        return cls(values, dtype, validity)
 
     @classmethod
     def full_null(cls, length: int, dtype: DType = FLOAT64) -> "Column":
@@ -214,8 +238,22 @@ class Column:
         return raw
 
     def to_list(self) -> list[Any]:
-        """Materialize as a Python list with ``None`` for nulls."""
-        return [self[i] for i in range(len(self))]
+        """Materialize as a Python list with ``None`` for nulls.
+
+        One ``tolist()`` of the storage buffer (of ``categories[codes]`` for
+        categoricals) with ``None`` written at the null positions: the same
+        Python objects ``self[i]`` returns, without a call per element.  A
+        buffer stored in another numpy dtype than the logical dtype's falls
+        back to the per-element decode.
+        """
+        if self.dtype is CATEGORICAL:
+            return self.to_string_array().tolist()
+        if self.values.dtype != numpy_storage_dtype(self.dtype):
+            return [self[i] for i in range(len(self))]
+        out = self.values.tolist()
+        for i in np.flatnonzero(~np.asarray(self.validity, dtype=bool)).tolist():
+            out[i] = None
+        return out
 
     def copy(self) -> "Column":
         return type(self)(self.values.copy(), self.dtype, self.validity.copy(),
@@ -328,9 +366,9 @@ class Column:
             out[~self.validity] = None
             return out
         if self.dtype is CATEGORICAL:
+            valid = np.asarray(self.validity, dtype=bool)
             out = np.empty(len(self), dtype=object)
-            for i in range(len(self)):
-                out[i] = self.categories[self.values[i]] if self.validity[i] else None
+            out[valid] = self.categories[self.values[valid]]
             return out
         out = np.empty(len(self), dtype=object)
         for i in range(len(self)):

@@ -20,9 +20,10 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import strings as string_ops
+from .backends import ColumnFactory, active_backend
 from .column import Column
 from .datetimes import extract_component, format_datetime_column, parse_datetime_column
-from .dtypes import BOOL, CATEGORICAL, DType, FLOAT64, INT64, parse_dtype
+from .dtypes import BOOL, CATEGORICAL, DType, FLOAT64, INT64, STRING, parse_dtype
 from .errors import (
     ColumnNotFoundError,
     DuplicateColumnError,
@@ -525,7 +526,16 @@ class DataFrame:
 
 
 def concat_rows(frames: Iterable[DataFrame]) -> DataFrame:
-    """Vertically concatenate frames sharing the same schema."""
+    """Vertically concatenate frames sharing the same schema.
+
+    Each output column is what ``Column.from_values`` builds from the pieces'
+    merged values under the first piece's dtype.  When every piece of a
+    column has the same dtype and column class, the ``values``/``validity``
+    buffers are concatenated directly: categorical columns are re-encoded from
+    their valid strings (so a category no row uses is dropped, as a
+    whole-frame pass would do) and string columns are built on the active
+    backend.  Pieces that differ in dtype or class take the list path.
+    """
     frames = list(frames)
     if not frames:
         return DataFrame()
@@ -533,14 +543,24 @@ def concat_rows(frames: Iterable[DataFrame]) -> DataFrame:
     for frame in frames[1:]:
         if frame.columns != columns:
             raise LengthMismatchError("cannot concatenate frames with different schemas")
-    data: dict[str, Column] = {}
-    for name in columns:
-        pieces = [frame[name] for frame in frames]
-        dtype = pieces[0].dtype
+    return DataFrame({name: _concat_column([frame[name] for frame in frames])
+                      for name in columns})
+
+
+def _concat_column(pieces: list[Column]) -> Column:
+    dtype = pieces[0].dtype
+    kind = type(pieces[0])
+    if any(piece.dtype is not dtype or type(piece) is not kind for piece in pieces):
         merged_values: list[Any] = []
         for piece in pieces:
             merged_values.extend(piece.to_list())
-        # Categorical columns are re-encoded from their merged string values,
-        # so chunked execution keeps the dtype a whole-frame pass would have.
-        data[name] = Column.from_values(merged_values, dtype)
-    return DataFrame(data)
+        return Column.from_values(merged_values, dtype)
+    validity = np.concatenate([np.asarray(piece.validity, dtype=bool)
+                               for piece in pieces])
+    if dtype is STRING or dtype is CATEGORICAL:
+        strings = np.concatenate([piece.to_string_array() for piece in pieces])
+        if dtype is CATEGORICAL:
+            return Column._encode_categorical(strings, validity)
+        return ColumnFactory.build(STRING.typecode, active_backend(), strings, validity)
+    values = np.concatenate([piece.values for piece in pieces])
+    return Column._from_storage(values, dtype, validity)

@@ -5,11 +5,13 @@ more key columns.  The build side is always the right frame (a hash table
 from key tuple to row indices), the probe side the left frame — the classic
 strategy used by Polars, CuDF and Spark for equi-joins.
 
-Two physical kernels implement the same join semantics:
+Two physical kernels compute the output row indices with the same
+semantics:
 
 * the **reference** kernel (``"object"`` backend): a Python dict from key
   tuples to row lists, probed row by row — simple, and the behavioural
-  oracle the property tests compare against;
+  oracle the property tests compare against.  The probe stays row-at-a-time
+  on purpose: its loop *defines* the output row order;
 * the **vectorized** kernel (``"dict"`` backend, or whenever a key column is
   dictionary-encoded): each key-column pair is factorized to shared int64
   codes (dictionary columns merge their sorted value tables with a
@@ -20,20 +22,24 @@ Two physical kernels implement the same join semantics:
   exactly: probe rows in left order, matches in right-row order, unmatched
   right rows appended ascending for outer joins.
 
+Both kernels emit int64 index arrays (``-1`` = null row) and share one
+buffer-level gather, :func:`_take_with_nulls`, which takes every output
+column straight from the input column's ``values``/``validity`` buffers.
+
 Column-name collisions on non-key columns are resolved with a ``_right``
 suffix, matching the Pandas convention Bento relies on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .backends import DICT_BACKEND, active_backend
 from .column import Column
 from .dictionary import DictStringColumn
-from .dtypes import BOOL, CATEGORICAL, FLOAT64, STRING
+from .dtypes import CATEGORICAL, FLOAT64, STRING
 from .errors import JoinError
 
 __all__ = ["hash_join"]
@@ -53,12 +59,39 @@ def _build_table(keys: list[tuple]) -> dict[tuple, list[int]]:
     return table
 
 
-def _gather_column(column: Column, indices: "Sequence[int | None]") -> Column:
-    """Take with ``None`` producing a null row (for outer joins)."""
-    values = column.to_list()
-    out = [values[i] if i is not None else None for i in indices]
-    dtype = column.dtype if column.dtype.value != "categorical" else None
-    return Column.from_values(out, dtype)
+def _reference_indices(left, right, left_on: Sequence[str], right_on: Sequence[str],
+                       how: str) -> tuple[np.ndarray, np.ndarray]:
+    """Output row indices (``-1`` = null row) from the row-at-a-time probe."""
+    left_keys = _key_tuples(left, left_on)
+    right_keys = _key_tuples(right, right_on)
+    table = _build_table(right_keys)
+
+    left_idx: list[int] = []
+    right_idx: list[int] = []
+    if how in ("inner", "left", "outer"):
+        matched_right: set[int] = set()
+        for i, key in enumerate(left_keys):
+            matches = table.get(key) if None not in key else None
+            if matches:
+                for j in matches:
+                    left_idx.append(i)
+                    right_idx.append(j)
+                    matched_right.add(j)
+            elif how in ("left", "outer"):
+                left_idx.append(i)
+                right_idx.append(-1)
+        if how == "outer":
+            for j in range(len(right_keys)):
+                if j not in matched_right:
+                    left_idx.append(-1)
+                    right_idx.append(j)
+    else:  # semi / anti
+        for i, key in enumerate(left_keys):
+            has_match = None not in key and key in table
+            if (how == "semi") == has_match:
+                left_idx.append(i)
+                right_idx.append(-1)
+    return np.array(left_idx, dtype=np.int64), np.array(right_idx, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -168,8 +201,11 @@ def _probe_indices(lkey: np.ndarray, rkey: np.ndarray, how: str
 
 
 def _take_with_nulls(column: Column, indices: np.ndarray) -> Column:
-    """Vectorized :func:`_gather_column`: ``-1`` indices produce null rows."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Gather rows by index; ``-1`` indices produce null rows.
+
+    The result is what ``Column.from_values`` builds from the gathered Python
+    values (see :meth:`Column._from_storage`), taken from the buffers.
+    """
     missing = indices < 0
     if len(column) == 0:
         # gathering from an empty side: every index is -1 (or there are none)
@@ -178,20 +214,15 @@ def _take_with_nulls(column: Column, indices: np.ndarray) -> Column:
     safe = np.where(missing, 0, indices)
     validity = np.asarray(column.validity, dtype=bool)[safe] & ~missing
     if column.dtype is CATEGORICAL:
-        # the reference kernel re-infers gathered categoricals (STRING, or
-        # FLOAT64 when every gathered row is null)
+        # gathered categoricals are re-inferred from their strings (STRING,
+        # or FLOAT64 when every gathered row is null)
         strings = column.to_string_array()[safe]
         strings[~validity] = None
         return Column.from_values(strings, None)
     if isinstance(column, DictStringColumn):
         codes = np.where(validity, column.values[safe], -1).astype(np.int32)
         return DictStringColumn(codes, STRING, validity, column.categories.copy())
-    values = column.values[safe].copy()
-    if column.dtype is STRING:
-        values[~validity] = None
-        return Column(values, STRING, validity)
-    values[~validity] = False if column.dtype is BOOL else 0
-    return Column(values, column.dtype, validity)
+    return Column._from_storage(column.values[safe], column.dtype, validity)
 
 
 def _use_vectorized(left, right, left_on: Sequence[str], right_on: Sequence[str]) -> bool:
@@ -234,46 +265,15 @@ def hash_join(
         # implemented as a left join with sides swapped, then reordered
         return hash_join(right, left, right_on, left_on, how="left", suffix=suffix)
 
-    gather: Callable[[Column, "Sequence[int | None] | np.ndarray"], Column]
     if _use_vectorized(left, right, left_on, right_on):
         lkey, rkey = _fold_codes(left, right, left_on, right_on)
         left_idx, right_idx = _probe_indices(lkey, rkey, how)
-        gather = _take_with_nulls
     else:
-        left_keys = _key_tuples(left, left_on)
-        right_keys = _key_tuples(right, right_on)
-        table = _build_table(right_keys)
-
-        left_idx = []
-        right_idx = []
-        if how in ("inner", "left", "outer"):
-            matched_right: set[int] = set()
-            for i, key in enumerate(left_keys):
-                matches = table.get(key) if None not in key else None
-                if matches:
-                    for j in matches:
-                        left_idx.append(i)
-                        right_idx.append(j)
-                        matched_right.add(j)
-                elif how in ("left", "outer"):
-                    left_idx.append(i)
-                    right_idx.append(None)
-            if how == "outer":
-                for j in range(len(right_keys)):
-                    if j not in matched_right:
-                        left_idx.append(None)
-                        right_idx.append(j)
-        else:  # semi / anti
-            for i, key in enumerate(left_keys):
-                has_match = None not in key and key in table
-                if (how == "semi") == has_match:
-                    left_idx.append(i)
-                    right_idx.append(None)
-        gather = _gather_column
+        left_idx, right_idx = _reference_indices(left, right, left_on, right_on, how)
 
     data: dict[str, Column] = {}
     for name in left.columns:
-        data[name] = gather(left[name], left_idx)
+        data[name] = _take_with_nulls(left[name], left_idx)
 
     if how not in ("semi", "anti"):
         key_map = dict(zip(right_on, left_on))
@@ -286,6 +286,6 @@ def hash_join(
                 out_name = f"{name}{suffix}"
             if out_name in data:
                 raise JoinError(f"cannot disambiguate output column {name!r}")
-            data[out_name] = gather(right[name], right_idx)
+            data[out_name] = _take_with_nulls(right[name], right_idx)
 
     return DataFrame(data)
